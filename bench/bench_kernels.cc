@@ -15,37 +15,25 @@
 //                   CI smoke runs use a small fraction)
 //   --tile-rows=<n> pin the tiled SpGEMM benches to one tile height
 //                   instead of their registered sweep
-//   --roofline=<path>  skip google-benchmark entirely: measure per-kernel
-//                   arithmetic intensity and achieved GFLOP/s / GB/s for
-//                   the SpGEMM / R-MCL hot-path kernels against ceilings
-//                   probed from this machine (bench/hw_probe.h), write a
-//                   dgc.roofline.v1 JSON document to <path> and exit.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "bench/hw_probe.h"
 #include "cluster/mcl.h"
 #include "core/all_pairs.h"
 #include "core/symmetrize.h"
 #include "gen/rmat.h"
 #include "util/logging.h"
 #include "linalg/power_iteration.h"
-#include "linalg/reorder.h"
 #include "linalg/spgemm.h"
 #include "linalg/spgemm_tiled.h"
 #include "obs/metrics.h"
-#include "util/simd.h"
-#include "util/timer.h"
 
 // Stand-in dataset scale, settable via --scale= (file-scope so the custom
 // main below can write it before benchmark registration runs).
@@ -335,55 +323,6 @@ BENCHMARK(BM_DegreeDiscountedLiveSink)
     ->DenseRange(0, 3)
     ->Unit(benchmark::kMillisecond);
 
-// SIMD / reorder ablation grid on the Degree-discounted fused path —
-// Args(dataset, simd_level, reorder: 0=none 1=degree 2=rcm). The
-// full-optimization cell (vector, rcm) against the baseline cell (scalar,
-// none) is this PR's acceptance ratio: >= 1.3x CPU time on >= 3 of the 4
-// stand-in datasets. Output is bit-identical across the whole grid (the
-// golden and reorder tests pin that), so the cells are freely comparable.
-void BM_DegreeDiscountedAblation(benchmark::State& state) {
-  const Dataset& d = StandIn(state.range(0));
-  const auto level = state.range(1) == 0 ? simd::Level::kScalar
-                                         : simd::Level::kVector;
-  static const ReorderMethod kReorderGrid[] = {
-      ReorderMethod::kNone, ReorderMethod::kDegree, ReorderMethod::kRcm};
-  SymmetrizationOptions options;
-  options.prune_threshold = 0.05;
-  options.reorder = kReorderGrid[static_cast<size_t>(state.range(2))];
-  simd::SetLevel(level);
-  for (auto _ : state) {
-    auto u = SymmetrizeDegreeDiscounted(d.graph, options);
-    benchmark::DoNotOptimize(u);
-  }
-  simd::SetLevel(simd::Level::kVector);
-  state.SetLabel(d.name + "/" + simd::LevelName(level) + "/" +
-                 std::string(ReorderMethodName(options.reorder)));
-}
-BENCHMARK(BM_DegreeDiscountedAblation)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}, {0, 1, 2}})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BibliometricAblation(benchmark::State& state) {
-  const Dataset& d = StandIn(state.range(0));
-  const auto level = state.range(1) == 0 ? simd::Level::kScalar
-                                         : simd::Level::kVector;
-  SymmetrizationOptions options;
-  options.prune_threshold = 2.0;
-  options.reorder = state.range(2) == 0 ? ReorderMethod::kNone
-                                        : ReorderMethod::kRcm;
-  simd::SetLevel(level);
-  for (auto _ : state) {
-    auto u = SymmetrizeBibliometric(d.graph, options);
-    benchmark::DoNotOptimize(u);
-  }
-  simd::SetLevel(simd::Level::kVector);
-  state.SetLabel(d.name + "/" + simd::LevelName(level) + "/" +
-                 std::string(ReorderMethodName(options.reorder)));
-}
-BENCHMARK(BM_BibliometricAblation)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
-
 // Tiled vs in-memory fused similarity sum (docs/OUT_OF_CORE.md) on the
 // four stand-in datasets. BM_SymmetricProductSumInMemory is the in-memory
 // oracle (two upper-triangle products + fused merge); the tiled variant
@@ -481,232 +420,10 @@ BENCHMARK(BM_AllPairsSimilarityThreads)
     ->UseRealTime();
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Roofline mode (--roofline=<path>): direct CPU-time measurement of the
-// SpGEMM / R-MCL hot-path kernels with explicit flop and byte models,
-// reported against this machine's measured ceilings (bench/hw_probe.h).
-//
-// Traffic model (documented in docs/PERFORMANCE.md): every inner
-// multiply-add streams one 12-byte (col, val) CSR pair; each input matrix
-// is additionally read once and the output written once at 12 bytes per
-// entry — bytes = 12*madds + 12*(nnz_in + nnz_out). Dense-accumulator and
-// marker traffic is deliberately excluded (it is the cache-resident part
-// the reorder optimization targets), so the reported GB/s understates true
-// traffic when the accumulator misses; flops count 2 per multiply-add with
-// scaling multiplies excluded. The models make intensities comparable
-// across kernels and runs — they are not a hardware counter substitute.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct RooflineRow {
-  std::string kernel;
-  std::string dataset;
-  double cpu_seconds = 0.0;
-  double flops = 0.0;
-  double bytes = 0.0;
-};
-
-/// Best-of-reps CPU time for one kernel invocation (one warm-up run, then
-/// repetitions until 0.25 CPU-seconds or 10 reps, min taken).
-double TimeBest(const std::function<void()>& fn) {
-  fn();  // warm-up: page in inputs, size workspaces
-  double best = -1.0;
-  double total = 0.0;
-  for (int rep = 0; rep < 10 && (total < 0.25 || rep < 3); ++rep) {
-    ProcessCpuTimer timer;
-    fn();
-    const double seconds = timer.ElapsedSeconds();
-    total += seconds;
-    if (best < 0.0 || seconds < best) best = seconds;
-  }
-  return best;
-}
-
-int RunRoofline(const std::string& path) {
-  const HwInfo hw = ProbeHardware();
-  std::vector<RooflineRow> rows;
-
-  for (int64_t index = 0; index < 4; ++index) {
-    const Dataset& d = StandIn(index);
-    const CsrMatrix& a = d.graph.adjacency();
-    const CsrMatrix at = a.Transpose();
-    const double nnz = static_cast<double>(a.nnz());
-    const double madds = static_cast<double>(SpGemmFlops(a, at));
-
-    SpGemmOptions product_options;
-    product_options.threshold = 0.025;
-    product_options.drop_diagonal = true;
-
-    RooflineRow transpose{"transpose", d.name, 0.0, 0.0, 24.0 * nnz};
-    transpose.cpu_seconds = TimeBest([&] {
-      benchmark::DoNotOptimize(a.Transpose());
-    });
-    rows.push_back(transpose);
-
-    RooflineRow aat{"spgemm_aat", d.name, 0.0, 2.0 * madds,
-                    12.0 * madds + 12.0 * 2.0 * nnz};
-    aat.cpu_seconds = TimeBest([&] {
-      auto c = SpGemmAAt(a, product_options);
-      DGC_CHECK(c.ok());
-      benchmark::DoNotOptimize(c);
-    });
-    rows.push_back(aat);
-
-    // The symmetric kernel computes only the upper triangle: half the
-    // multiply-adds of the full product (model; the exact share depends on
-    // the candidate distribution).
-    auto upper = SpGemmAAtSymmetric(a, {}, {}, product_options, &at);
-    DGC_CHECK(upper.ok());
-    RooflineRow sym{"spgemm_aat_symmetric", d.name, 0.0, madds,
-                    6.0 * madds + 12.0 * (nnz + static_cast<double>(
-                                                    upper->nnz()))};
-    sym.cpu_seconds = TimeBest([&] {
-      auto c = SpGemmAAtSymmetric(a, {}, {}, product_options, &at);
-      DGC_CHECK(c.ok());
-      benchmark::DoNotOptimize(c);
-    });
-    rows.push_back(sym);
-
-    auto upper_c = SpGemmAAtSymmetric(at, {}, {}, product_options, &a);
-    DGC_CHECK(upper_c.ok());
-    const double sum_in = static_cast<double>(upper->nnz() + upper_c->nnz());
-    SpGemmOptions sum_options;
-    sum_options.threshold = 0.05;
-    sum_options.drop_diagonal = true;
-    RooflineRow sum{"spgemm_symmetric_sum", d.name, 0.0, sum_in,
-                    12.0 * 2.0 * sum_in};
-    sum.cpu_seconds = TimeBest([&] {
-      auto c = SpGemmSymmetricSum(*upper, *upper_c, sum_options);
-      DGC_CHECK(c.ok());
-      benchmark::DoNotOptimize(c);
-    });
-    rows.push_back(sum);
-
-    // Out-of-core tiled product sum at ~8 tiles (enough spool traffic to
-    // be representative). Flops: both upper products, 2 per multiply-add
-    // over half the candidates each. Bytes extend the streaming model
-    // with the spool round trip: each merged tile entry is written to and
-    // read back from disk at 12 bytes (24 per entry total), on top of the
-    // product streams, one read of each input and the output write.
-    {
-      TiledSymmetricSumOptions tiled_options;
-      tiled_options.product_threshold = 0.025;
-      tiled_options.product_drop_diagonal = true;
-      tiled_options.sum_threshold = 0.05;
-      tiled_options.sum_drop_diagonal = true;
-      tiled_options.tile_rows = std::max<Index>(1, a.rows() / 8);
-      auto tiled_out =
-          TiledSymmetricProductSum(a, at, {}, {}, {}, {}, tiled_options);
-      DGC_CHECK(tiled_out.ok());
-      const double madds_c = static_cast<double>(SpGemmFlops(at, a));
-      const double spooled =
-          static_cast<double>(upper->nnz() + upper_c->nnz());
-      RooflineRow tiled{"spgemm_tiled_product_sum", d.name, 0.0,
-                       madds + madds_c,
-                       6.0 * (madds + madds_c) + 24.0 * spooled +
-                           12.0 * (2.0 * nnz +
-                                   static_cast<double>(tiled_out->nnz()))};
-      tiled.cpu_seconds = TimeBest([&] {
-        auto c = TiledSymmetricProductSum(a, at, {}, {}, {}, {},
-                                          tiled_options);
-        DGC_CHECK(c.ok());
-        benchmark::DoNotOptimize(c);
-      });
-      rows.push_back(tiled);
-    }
-
-    auto mirrored = MirrorUpperTriangle(*upper);
-    DGC_CHECK(mirrored.ok());
-    RooflineRow mirror{"mirror_upper_triangle", d.name, 0.0, 0.0,
-                       12.0 * (static_cast<double>(upper->nnz()) +
-                               static_cast<double>(mirrored->nnz()))};
-    mirror.cpu_seconds = TimeBest([&] {
-      auto c = MirrorUpperTriangle(*upper);
-      DGC_CHECK(c.ok());
-      benchmark::DoNotOptimize(c);
-    });
-    rows.push_back(mirror);
-
-    auto u = SymmetrizeAPlusAT(d.graph);
-    DGC_CHECK(u.ok());
-    RmclOptions rmcl_options;
-    rmcl_options.convergence_tol = 0.0;
-    const CsrMatrix mg = BuildFlowMatrix(*u, rmcl_options.self_loop_scale,
-                                         rmcl_options.num_threads);
-    const double rmcl_madds = static_cast<double>(SpGemmFlops(mg, mg));
-    const double mg_nnz = static_cast<double>(mg.nnz());
-    RooflineRow rmcl{"rmcl_iterate", d.name, 0.0, 2.0 * rmcl_madds,
-                     12.0 * rmcl_madds + 12.0 * 2.0 * mg_nnz};
-    rmcl.cpu_seconds = TimeBest([&] {
-      auto flow = RmclIterate(mg, mg, rmcl_options, /*iterations=*/1);
-      DGC_CHECK(flow.ok());
-      benchmark::DoNotOptimize(flow);
-    });
-    rows.push_back(rmcl);
-  }
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  char buf[512];
-  out << "{\"schema\":\"dgc.roofline.v1\",\n";
-  out << "\"hardware\":" << HwInfoJson(hw) << ",\n";
-  std::snprintf(buf, sizeof(buf),
-                "\"dataset_scale\":%.6g,\"simd_level\":\"%s\","
-                "\"build_type\":\"%s\",\n",
-                g_dataset_scale, simd::LevelName(simd::ActiveLevel()),
-#ifdef NDEBUG
-                "release"
-#else
-                "debug"
-#endif
-  );
-  out << buf;
-  out << "\"kernels\":[\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const RooflineRow& r = rows[i];
-    const double intensity = r.bytes > 0.0 ? r.flops / r.bytes : 0.0;
-    const double gflops =
-        r.cpu_seconds > 0.0 ? r.flops / r.cpu_seconds / 1e9 : 0.0;
-    const double gbps =
-        r.cpu_seconds > 0.0 ? r.bytes / r.cpu_seconds / 1e9 : 0.0;
-    // The roof at this intensity: bandwidth-limited below the ridge point,
-    // compute-limited above it (single-thread kernels measure against the
-    // vector mul+add ceiling — they cannot exceed one core's peak).
-    const double bw_roof = hw.stream_triad_gbps * intensity;
-    const double roof = r.flops > 0.0
-                            ? std::min(bw_roof, hw.vector_mulladd_gflops)
-                            : 0.0;
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"kernel\":\"%s\",\"dataset\":\"%s\",\"cpu_seconds\":%.6g,"
-        "\"flops\":%.6g,\"bytes\":%.6g,\"arithmetic_intensity\":%.6g,"
-        "\"gflops\":%.6g,\"gbps\":%.6g,\"roof_gflops\":%.6g,"
-        "\"percent_of_roof\":%.4g,\"bound\":\"%s\"}%s\n",
-        r.kernel.c_str(), r.dataset.c_str(), r.cpu_seconds, r.flops, r.bytes,
-        intensity, gflops, gbps, roof,
-        roof > 0.0 ? 100.0 * gflops / roof : 0.0,
-        r.flops <= 0.0 ? "memory"
-        : bw_roof < hw.vector_mulladd_gflops ? "memory"
-                                             : "compute",
-        i + 1 < rows.size() ? "," : "");
-    out << buf;
-  }
-  out << "]}\n";
-  std::printf("roofline: %zu kernel measurements -> %s\n", rows.size(),
-              path.c_str());
-  return 0;
-}
-
-}  // namespace
 }  // namespace dgc
 
-// Custom main: peel off --json= / --scale= / --roofline= before handing the
-// remaining flags to google-benchmark.
+// Custom main: peel off --json= / --scale= / --tile-rows= before handing
+// the remaining flags to google-benchmark.
 int main(int argc, char** argv) {
 #ifdef NDEBUG
   const bool release_build = true;
@@ -715,7 +432,6 @@ int main(int argc, char** argv) {
 #endif
   std::vector<std::string> storage;
   storage.reserve(static_cast<size_t>(argc) + 2);
-  std::string roofline_path;
   bool wants_json = false;
   bool allow_debug_json = false;
   for (int i = 0; i < argc; ++i) {
@@ -732,8 +448,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--tile-rows=", 12) == 0) {
       g_tile_rows = std::strtol(arg + 12, nullptr, 10);
       DGC_CHECK(g_tile_rows > 0) << "--tile-rows must be positive";
-    } else if (std::strncmp(arg, "--roofline=", 11) == 0) {
-      roofline_path = arg + 11;
     } else {
       storage.emplace_back(arg);
     }
@@ -752,10 +466,6 @@ int main(int argc, char** argv) {
   }
   benchmark::AddCustomContext("dgc_build_type",
                               release_build ? "release" : "debug");
-  benchmark::AddCustomContext("dgc_simd_backend", dgc::simd::BackendName());
-  if (!roofline_path.empty()) {
-    return dgc::RunRoofline(roofline_path);
-  }
   std::vector<char*> args;
   args.reserve(storage.size());
   for (std::string& s : storage) args.push_back(s.data());

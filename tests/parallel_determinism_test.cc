@@ -5,6 +5,7 @@
 // without perturbing any paper figure.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,10 @@ struct GraphCase {
   std::string name;
   Digraph (*make)();
 };
+
+// Prints the case by name, so the listed test IDs stay the same from run to
+// run; gtest's default byte dump would show the heap and code addresses.
+void PrintTo(const GraphCase& c, std::ostream* os) { *os << c.name; }
 
 Digraph MakeRmatGraph() {
   RmatOptions options;

@@ -120,6 +120,17 @@ TEST(ServeRequestTest, DefaultsAndStrictUnknownFields) {
   ASSERT_FALSE(bad_schema.ok());
 }
 
+TEST(ServeRequestTest, ReorderIsAnUnknownField) {
+  // `reorder` is not a request field: a client that sends it gets the
+  // strict unknown-field error naming it, never a silent default.
+  auto req = ParseServeRequest(R"({"graph": "g", "reorder": "rcm"})");
+  ASSERT_FALSE(req.ok());
+  EXPECT_TRUE(req.status().IsInvalidArgument()) << req.status().ToString();
+  EXPECT_NE(req.status().message().find("unknown request field \"reorder\""),
+            std::string::npos)
+      << req.status().ToString();
+}
+
 TEST(ServeRequestTest, CacheKeyCoversStageOneFieldsOnly) {
   ServeRequest a;
   a.graph_path = "g";

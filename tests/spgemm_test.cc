@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "linalg/spgemm_impl.h"
 #include "util/rng.h"
 
 namespace dgc {
@@ -150,6 +154,34 @@ TEST(SpGemmTest, FlopsCountsMultiplies) {
   // Row 0 touches rows 0 (2 nnz) and 1 (1 nnz) of a: 3 flops.
   // Row 1 touches row 0: 2 flops. Total 5.
   EXPECT_EQ(SpGemmFlops(a, a), 5);
+}
+
+TEST(SpGemmTest, EmitRowPruneSemanticsPinned) {
+  // Strict < comparison against |v|, NaN kept, and `dropped` counts only
+  // threshold prunes, not the dropped diagonal.
+  spgemm_internal::SpGemmWorkspace w;
+  w.EnsureSize(5);
+  const Scalar accum[] = {0.5, 0.499,
+                          std::numeric_limits<Scalar>::quiet_NaN(), -0.0,
+                          9.0};
+  for (Index c = 0; c < 5; ++c) {
+    w.accum[static_cast<size_t>(c)] = accum[c];
+    w.touched[static_cast<size_t>(c)] = c;
+  }
+  w.touched_count = 5;
+  SpGemmOptions options;
+  options.threshold = 0.5;
+  options.drop_diagonal = true;
+  spgemm_internal::EmitRow(/*row=*/4, options, w);
+  // 0.5 kept (not < 0.5), 0.499 pruned, NaN kept, -0.0 pruned, 9.0 is the
+  // diagonal (dropped but not counted).
+  ASSERT_EQ(2u, w.cols.size());
+  ASSERT_EQ(2u, w.vals.size());
+  EXPECT_EQ(2, w.dropped);
+  EXPECT_EQ(0, w.cols[0]);
+  EXPECT_EQ(2, w.cols[1]);
+  EXPECT_EQ(0.5, w.vals[0]);
+  EXPECT_TRUE(std::isnan(w.vals[1]));
 }
 
 TEST(SpGemmTest, EmptyProduct) {

@@ -107,7 +107,8 @@ const char* kMsg = "assert(failed) std::rand()";
         result = run_lint(self.root)
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
-    def test_simd_intrinsics_exempt_in_simd_files_only(self):
+    def test_simd_intrinsics_fire_at_every_path(self):
+        # No file is exempt, src/util/simd.* included.
         body = """\
 #include <immintrin.h>
 #include <arm_neon.h>
@@ -118,14 +119,15 @@ void f(double* p) {
   vst1q_f64(p, y);
 }
 """
-        self.write("src/util/simd.cc", body)
-        result = run_lint(self.root)
-        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
-        self.write("src/linalg/leaky.cc", body)
-        result = run_lint(self.root)
-        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
-        self.assertEqual(self.rules_fired(result),
-                         {"simd-intrinsics-contained"})
+        for rel in ("src/util/simd.cc", "src/linalg/leaky.cc"):
+            self.write(rel, body)
+            result = run_lint(self.root)
+            self.assertEqual(result.returncode, 1,
+                             result.stdout + result.stderr)
+            self.assertEqual(self.rules_fired(result),
+                             {"simd-intrinsics-contained"})
+            self.assertIn(rel, result.stdout)
+            os.remove(os.path.join(self.root, rel))
 
     def test_raw_string_contents_are_ignored(self):
         # Rule text inside raw strings (all prefix forms, with and without

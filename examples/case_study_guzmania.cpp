@@ -82,8 +82,9 @@ int main() {
   for (Index s = 0; s < num_species; ++s) {
     const Index page = n0 + s;
     species.push_back(page);
-    names[static_cast<size_t>(page)] =
-        "Guzmania species " + std::to_string(s + 1);
+    std::string& name = names[static_cast<size_t>(page)];
+    name = std::string("Guzmania species ");
+    name += std::to_string(s + 1);
     edges.push_back(Edge{page, poales, 1.0});
     edges.push_back(Edge{page, ecuador, 1.0});
     edges.push_back(Edge{page, guzmania, 1.0});

@@ -47,8 +47,9 @@ struct RmclOptions {
   int num_threads = 1;
 
   /// Optional observability sink (obs/metrics.h). When non-null RmclIterate
-  /// records one span per iteration (flow nnz, expanded nnz, convergence
-  /// residual); when null — the default — no instrumentation runs at all.
+  /// records one span per iteration (flow nnz, expanded nnz, fallback
+  /// rows, label churn, convergence residual); when null — the default —
+  /// no instrumentation runs at all.
   MetricsRegistry* metrics = nullptr;
 
   /// Optional cooperative cancellation (util/budget.h). When non-null the
@@ -79,6 +80,18 @@ CsrMatrix BuildFlowMatrixFromAdjacency(const CsrMatrix& adj,
 /// with workspaces reused across iterations; row results are
 /// order-independent, so the output is bit-identical to the sequential
 /// path.
+///
+/// Each row is computed by a bitmap-indexed kernel that emits columns in
+/// ascending order and selects the top max_row_nnz entries against an
+/// exact lower bound. Its output is bit-identical to the first-touch
+/// Gustavson kernel with an nth_element cap; where it cannot prove that
+/// (a tie at the cap, a survivor within rounding of prune_threshold,
+/// non-finite or non-positive values, an empty kept set) it recomputes the
+/// row with that kernel, so first-touch order matters only on that path.
+/// docs/PERFORMANCE.md has the argument. Each `rmcl.iteration` span
+/// records `exact_fallback_rows` (rows recomputed that way) and
+/// `labels_changed` (rows whose attractor, the first largest entry,
+/// moved).
 Result<CsrMatrix> RmclIterate(CsrMatrix m, const CsrMatrix& mg,
                               const RmclOptions& options, int iterations);
 

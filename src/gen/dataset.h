@@ -25,7 +25,11 @@ struct Dataset {
         !node_names[static_cast<size_t>(v)].empty()) {
       return node_names[static_cast<size_t>(v)];
     }
-    return "#" + std::to_string(v);
+    // Appended rather than `"#" + std::to_string(v)`, which trips GCC 12's
+    // -Wrestrict false positive inside std::string's memcpy.
+    std::string name(1, '#');
+    name += std::to_string(v);
+    return name;
   }
 };
 

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
+#include "cluster/mcl.h"
+#include "core/symmetrize.h"
+#include "gen/lfr.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/span.h"
@@ -272,6 +278,82 @@ TEST(TimerTest, ProcessCpuTimerAdvancesUnderWork) {
   EXPECT_GT(timer.ElapsedSeconds(), 0.0);
   timer.Restart();
   EXPECT_GE(timer.ElapsedSeconds(), 0.0);
+}
+
+// ------------------------------------------------------ R-MCL iterations
+
+/// The attractor of a flow row as FlowToClustering picks it: the first
+/// largest entry in column order.
+Index Attractor(const CsrMatrix& m, Index r) {
+  Index best = -1;
+  Scalar best_val = -1.0;
+  const auto cols = m.RowCols(r);
+  const auto vals = m.RowValues(r);
+  for (size_t i = 0; i < cols.size(); ++i) {
+    if (vals[i] > best_val) {
+      best_val = vals[i];
+      best = cols[i];
+    }
+  }
+  return best;
+}
+
+int64_t IntMetric(const SpanNode& span, const std::string& key) {
+  for (const auto& [name, value] : span.metrics) {
+    if (name == key) return std::get<int64_t>(value);
+  }
+  ADD_FAILURE() << "span " << span.name << " has no metric " << key;
+  return -1;
+}
+
+// labels_changed counts the rows whose attractor differs between an
+// iteration's input and output flow; it and exact_fallback_rows are
+// deterministic metrics, equal at every thread count.
+TEST(RmclIterationMetricsTest, LabelsChangedAndFallbackRows) {
+  LfrOptions gen;
+  gen.num_vertices = 400;
+  gen.min_community = 20;
+  gen.max_community = 60;
+  auto dataset = GenerateLfr(gen);
+  ASSERT_TRUE(dataset.ok());
+  auto u = SymmetrizeAPlusAT(dataset->graph);
+  ASSERT_TRUE(u.ok());
+  const CsrMatrix mg = BuildFlowMatrix(*u);
+  RmclOptions options;
+  options.max_row_nnz = 4;  // small enough for ties at the cap
+
+  CsrMatrix flow = mg;
+  int64_t total_fallback = 0;
+  for (int iter = 0; iter < 5; ++iter) {
+    std::vector<int64_t> changed, fallback;
+    CsrMatrix next;
+    for (int threads : {1, 4}) {
+      MetricsRegistry registry;
+      options.metrics = &registry;
+      options.num_threads = threads;
+      auto out = RmclIterate(flow, mg, options, 1);
+      ASSERT_TRUE(out.ok());
+      next = std::move(*out);
+      for (const SpanNode& span : registry.Spans()) {
+        if (span.name != "rmcl.iteration") continue;
+        changed.push_back(IntMetric(span, "labels_changed"));
+        fallback.push_back(IntMetric(span, "exact_fallback_rows"));
+      }
+    }
+    ASSERT_EQ(changed.size(), 2u);
+    int64_t expected = 0;
+    for (Index r = 0; r < flow.rows(); ++r) {
+      expected += Attractor(flow, r) != Attractor(next, r);
+    }
+    EXPECT_EQ(changed[0], expected) << "iteration " << iter;
+    EXPECT_EQ(changed[1], changed[0]);
+    EXPECT_EQ(fallback[1], fallback[0]);
+    EXPECT_GE(fallback[0], 0);
+    EXPECT_LE(fallback[0], flow.rows());
+    total_fallback += fallback[0];
+    flow = std::move(next);
+  }
+  EXPECT_GT(total_fallback, 0);
 }
 
 }  // namespace

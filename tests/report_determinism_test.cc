@@ -61,6 +61,8 @@ TEST(ReportDeterminismTest, RmatDegreeDiscountedMlrMclAcrossThreadCounts) {
             std::string::npos);
   EXPECT_NE(serial.find("\"name\": \"symmetrize\""), std::string::npos);
   EXPECT_NE(serial.find("\"name\": \"rmcl.iteration\""), std::string::npos);
+  EXPECT_NE(serial.find("\"exact_fallback_rows\""), std::string::npos);
+  EXPECT_NE(serial.find("\"labels_changed\""), std::string::npos);
   EXPECT_NE(serial.find("eval.modularity"), std::string::npos);
   EXPECT_NE(serial.find("eval.cluster_size"), std::string::npos);
 }
